@@ -11,11 +11,11 @@ package repro_test
 //     query — why the middleware targets a conventional executor.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/attrua"
 	"repro/internal/cond"
 	"repro/internal/engine"
 	"repro/internal/kdb"
@@ -140,10 +140,18 @@ func BenchmarkAblationTupleLevelLabels(b *testing.B) {
 
 func BenchmarkAblationAttrLevelLabels(b *testing.B) {
 	x := ablationXDB(2000, rand.New(rand.NewSource(3)))
-	rel := attrua.FromXDB(x)
+	at, err := rewrite.EncodeAttrX(x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	front := rewrite.NewFrontend(engine.NewCatalog())
+	front.PutAttrTable("R", at)
+	opts := rewrite.QueryOpts{AttrBounds: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		attrua.CertainTuples(attrua.Project(rel, []int{0, 2}))
+		if _, err := front.Query(context.Background(), "SELECT a, c FROM R", opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

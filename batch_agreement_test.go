@@ -205,7 +205,7 @@ func TestBatchRowAgreementRandomized(t *testing.T) {
 
 		rows := mustAgreeOrdered(t, plan, cat, "plan")
 
-		// The optimizer path (engine.Execute) must agree as a bag — plan
+		// The optimizer path (engine.Session.Execute) must agree as a bag — plan
 		// normalization may reorder, but never change, the result.
 		res, err := execPlanTbl(plan, cat)
 		if err != nil {

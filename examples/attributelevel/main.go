@@ -1,17 +1,21 @@
 // Attribute-level annotations: the paper's future-work extension
-// (Section 12), prototyped in internal/attrua. Tuple-level UA-DBs mark a
-// whole row uncertain as soon as any cell is imputed; attribute-level
-// labels track which cells are uncertain, so projections that discard the
-// noisy cells recover full certainty — removing the false negatives the
-// paper's Figure 15 measures.
+// (Section 12), served by the frontend's AU-DB mode (QueryOpts.AttrBounds).
+// Tuple-level UA-DBs mark a whole row uncertain as soon as any cell is
+// imputed; the AU-DB encoding gives every attribute a [lo, best-guess, hi]
+// range and every row a certain multiplicity (__ec), so an attribute is
+// certain iff lo == hi, and projections that discard the noisy cells
+// recover full certainty — removing the false negatives the paper's
+// Figure 15 measures.
 package main
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/attrua"
+	"repro/internal/engine"
 	"repro/internal/kdb"
 	"repro/internal/models"
+	"repro/internal/rewrite"
 	"repro/internal/semiring"
 	"repro/internal/types"
 	"repro/internal/uadb"
@@ -51,31 +55,43 @@ func main() {
 		fmt.Printf("  %-18s %s\n", t, mark)
 	}
 
-	// Attribute-level labels know the uncertainty lives in the age column
+	// Attribute-level ranges know the uncertainty lives in the age column
 	// only: projecting it away restores certainty.
-	rel := attrua.FromXDB(x)
-	proj := attrua.Project(rel, []int{0, 1})
-	fmt.Println("\nAttribute-level labels on the same projection:")
-	for _, row := range proj.Rows {
+	at, err := rewrite.EncodeAttrX(x)
+	if err != nil {
+		panic(err)
+	}
+	front := rewrite.NewFrontend(engine.NewCatalog())
+	front.PutAttrTable("patients", at)
+	query := func(q string) [][]types.Value {
+		res, err := front.Query(context.Background(), q, rewrite.QueryOpts{AttrBounds: true})
+		if err != nil {
+			panic(err)
+		}
+		tbl := engine.ResultTable(res)
+		tbl.SortRows()
+		return tbl.Rows
+	}
+
+	// Each answer row is [lo, bg, hi] per attribute, then __ec and __ebg.
+	fmt.Println("\nAttribute-level ranges on the same projection:")
+	for _, row := range query("SELECT id, diagnosis FROM patients") {
 		mark := "uncertain"
-		if row.TupleCertain() {
+		if row[6].Int() > 0 && row[0].Equal(row[2]) && row[3].Equal(row[5]) {
 			mark = "CERTAIN"
 		}
-		fmt.Printf("  %-18s %s\n", row.Data, mark)
+		fmt.Printf("  %-18s %s\n", types.Tuple{row[1], row[4]}, mark)
 	}
 
 	// Selections show the flip side: filtering on the uncertain age makes
-	// survival uncertain even for rows whose other cells are clean.
-	adults := attrua.Select(rel, attrua.Pred{
-		Eval:  func(t types.Tuple) bool { return t[2].Int() >= 18 },
-		Reads: []int{2},
-	})
+	// survival uncertain where the age range straddles the bound (row 2),
+	// while a range wholly above it (row 3, 42..44) still certainly passes.
 	fmt.Println("\nAfter WHERE age >= 18 (age was imputed):")
-	for _, row := range adults.Rows {
+	for _, row := range query("SELECT id, diagnosis, age FROM patients WHERE age >= 18") {
 		mark := "uncertain"
-		if row.ExistsCertain {
+		if row[9].Int() > 0 {
 			mark = "certainly present"
 		}
-		fmt.Printf("  %-22s %s\n", row.Data, mark)
+		fmt.Printf("  %-22s %s\n", types.Tuple{row[1], row[4], row[7]}, mark)
 	}
 }

@@ -1,7 +1,7 @@
 package repro_test
 
 // Shared execution helpers: every root test drives the engine through the
-// single non-deprecated entrypoints (engine.Session.Execute and
+// single execution entrypoints (engine.Session.Execute and
 // rewrite.Frontend.Query) and materializes the *engine.Table shape the
 // assertions compare.
 

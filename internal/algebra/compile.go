@@ -200,24 +200,6 @@ func compileFn(e Expr) rowFn {
 			return types.NewBool(in(row).IsNull() != neg)
 		}
 
-	case BetweenE:
-		// Desugared exactly as BetweenE.Eval does: lo <= e AND e <= hi with
-		// 3VL, then the optional negation of a non-NULL result.
-		inner := compileFn(Bin{Op: OpAnd,
-			L: Bin{Op: OpGe, L: ex.E, R: ex.Lo},
-			R: Bin{Op: OpLe, L: ex.E, R: ex.Hi},
-		})
-		if !ex.Negated {
-			return inner
-		}
-		return func(row []types.Value) types.Value {
-			v := inner(row)
-			if v.IsNull() {
-				return v
-			}
-			return types.NewBool(!v.Bool())
-		}
-
 	case Neg:
 		in := compileFn(ex.E)
 		return func(row []types.Value) types.Value {

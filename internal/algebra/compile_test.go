@@ -33,7 +33,7 @@ func randExpr(rng *rand.Rand, arity, depth int) Expr {
 		return randConst()
 	}
 	sub := func() Expr { return randExpr(rng, arity, depth-1) }
-	switch rng.Intn(10) {
+	switch rng.Intn(9) {
 	case 0, 1, 2:
 		ops := []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 		return Bin{Op: ops[rng.Intn(len(ops))], L: sub(), R: sub()}
@@ -53,8 +53,6 @@ func randExpr(rng *rand.Rand, arity, depth int) Expr {
 			return IsNullE{E: sub(), Negated: rng.Intn(2) == 0}
 		}
 	case 7:
-		return BetweenE{E: sub(), Lo: sub(), Hi: sub(), Negated: rng.Intn(2) == 0}
-	case 8:
 		names := []string{"least", "greatest", "coalesce", "abs", "length", "lower"}
 		name := names[rng.Intn(len(names))]
 		nArgs := 1

@@ -155,17 +155,6 @@ func TestInWithNulls(t *testing.T) {
 	}
 }
 
-func TestBetweenNull(t *testing.T) {
-	e := BetweenE{E: nullv(), Lo: iv(1), Hi: iv(2)}
-	if !e.Eval(nil).IsNull() {
-		t.Error("NULL BETWEEN -> NULL")
-	}
-	e = BetweenE{E: iv(3), Lo: iv(1), Hi: iv(2), Negated: true}
-	if !e.Eval(nil).Bool() {
-		t.Error("NOT BETWEEN")
-	}
-}
-
 func TestCaseNullOperand(t *testing.T) {
 	// CASE NULL WHEN NULL THEN 'x' END is NULL: NULL never equals.
 	e := CaseExpr{
@@ -216,7 +205,7 @@ func TestExprStrings(t *testing.T) {
 	nodes := []Expr{
 		Not{E: bv(true)}, Neg{E: iv(1)}, CaseExpr{Whens: []CaseWhen{{Cond: bv(true), Result: iv(1)}}, Else: iv(2)},
 		LikeE{E: svv("a"), Pattern: svv("%")}, InE{E: iv(1), List: []Expr{iv(2)}},
-		BetweenE{E: iv(1), Lo: iv(0), Hi: iv(2)}, ScalarFunc{Name: "abs", Args: []Expr{iv(-1)}},
+		ScalarFunc{Name: "abs", Args: []Expr{iv(-1)}},
 	}
 	for _, n := range nodes {
 		if n.String() == "" {

@@ -129,7 +129,7 @@ func (d *decoder) expr(arity, depth int) Expr {
 		return Const{V: d.value()}
 	}
 	sub := func() Expr { return d.expr(arity, depth-1) }
-	switch d.byte() % 8 {
+	switch d.byte() % 7 {
 	case 0, 1:
 		ops := []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 		return Bin{Op: ops[int(d.byte())%len(ops)], L: sub(), R: sub()}
@@ -147,7 +147,7 @@ func (d *decoder) expr(arity, depth int) Expr {
 			args[i] = sub()
 		}
 		return ScalarFunc{Name: name, Args: args}
-	case 6:
+	default:
 		switch d.byte() % 3 {
 		case 0:
 			return Not{E: sub()}
@@ -156,7 +156,5 @@ func (d *decoder) expr(arity, depth int) Expr {
 		default:
 			return IsNullE{E: sub(), Negated: d.byte()%2 == 0}
 		}
-	default:
-		return BetweenE{E: sub(), Lo: sub(), Hi: sub(), Negated: d.byte()%2 == 0}
 	}
 }

@@ -36,10 +36,6 @@ func WalkCols(e Expr, f func(Col)) {
 		for _, x := range n.List {
 			WalkCols(x, f)
 		}
-	case BetweenE:
-		WalkCols(n.E, f)
-		WalkCols(n.Lo, f)
-		WalkCols(n.Hi, f)
 	case ScalarFunc:
 		for _, a := range n.Args {
 			WalkCols(a, f)
@@ -99,12 +95,6 @@ func MapCols(e Expr, f func(Col) Expr) Expr {
 			out.List = append(out.List, MapCols(x, f))
 		}
 		return out
-	case BetweenE:
-		return BetweenE{
-			E:  MapCols(n.E, f),
-			Lo: MapCols(n.Lo, f),
-			Hi: MapCols(n.Hi, f), Negated: n.Negated,
-		}
 	case ScalarFunc:
 		out := ScalarFunc{Name: n.Name}
 		for _, a := range n.Args {

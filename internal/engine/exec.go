@@ -65,43 +65,12 @@ func (s *Session) Execute(ctx context.Context, n algebra.Node) (*physical.Result
 
 // ResultTable adapts a *physical.Result to the engine's *Table (schema plus
 // materialized rows) — the shape the table-valued helpers (EqualBag,
-// SortRows, String) and the pre-Session callers work with. Materialization
-// is the result's own lazy-cached one.
+// SortRows, String) work with. Materialization is the result's own
+// lazy-cached one.
 func ResultTable(res *physical.Result) *Table {
 	out := NewTable(res.Schema)
 	out.Rows = res.Rows()
 	return out
-}
-
-// Execute evaluates a logical plan against the catalog and materializes the
-// result.
-//
-// Deprecated: use NewSession(cat, physical.Options{}).Execute with a
-// context (and ResultTable if a *Table is needed). Kept as a thin wrapper
-// for external callers only.
-func Execute(n algebra.Node, cat *Catalog) (*Table, error) {
-	return ExecuteOpts(n, cat, physical.Options{})
-}
-
-// ExecuteOpts is Execute with explicit physical execution options.
-//
-// Deprecated: use NewSession(cat, opt).Execute with a context (and
-// ResultTable if a *Table is needed). Kept as a thin wrapper for external
-// callers only.
-func ExecuteOpts(n algebra.Node, cat *Catalog, opt physical.Options) (*Table, error) {
-	res, err := NewSession(cat, opt).Execute(context.Background(), n)
-	if err != nil {
-		return nil, err
-	}
-	return ResultTable(res), nil
-}
-
-// ExecuteColumns is ExecuteOpts with a columnar result sink.
-//
-// Deprecated: use NewSession(cat, opt).Execute with a context — it is the
-// same call. Kept as a thin wrapper for external callers only.
-func ExecuteColumns(n algebra.Node, cat *Catalog, opt physical.Options) (*physical.Result, error) {
-	return NewSession(cat, opt).Execute(context.Background(), n)
 }
 
 // compile validates, optimizes, and lowers a logical plan. Plans whose scan
@@ -121,17 +90,11 @@ func compile(n algebra.Node, cat *Catalog, opt physical.Options) (physical.Opera
 	return physical.LowerOpts(plan, cat, opt)
 }
 
-// ExplainPhysical returns the physical operator tree Execute would run for
-// the plan, after optimization, as an indented string — the plan-shape
-// tests and EXPLAIN output both use it. It compiles with the same default
-// options as Execute, so parallelized plans show their Gather pipelines.
-func ExplainPhysical(n algebra.Node, cat *Catalog) (string, error) {
-	return ExplainPhysicalOpts(n, cat, physical.Options{})
-}
-
-// ExplainPhysicalOpts is ExplainPhysical under explicit execution options —
-// the tree ExecuteOpts would run. With Options.Fuse set, fused chains render
-// as a single FusedPipeline node listing the collapsed operators.
+// ExplainPhysicalOpts returns the physical operator tree Session.Execute
+// would run for the plan under opt, after optimization, as an indented
+// string — the plan-shape tests and EXPLAIN output both use it. Parallelized
+// plans show their Gather pipelines; with Options.Fuse set, fused chains
+// render as a single FusedPipeline node listing the collapsed operators.
 func ExplainPhysicalOpts(n algebra.Node, cat *Catalog, opt physical.Options) (string, error) {
 	op, err := compile(n, cat, opt)
 	if err != nil {

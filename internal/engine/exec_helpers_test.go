@@ -1,7 +1,7 @@
 package engine
 
 // Test helpers that route every execution through the package's single
-// non-deprecated entrypoint, Session.Execute, materializing the *Table
+// execution entrypoint, Session.Execute, materializing the *Table
 // shape the assertions compare.
 
 import (

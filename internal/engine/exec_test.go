@@ -23,7 +23,7 @@ func TestPlanShapeHashJoinForEquiJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ExplainPhysical(plan, cat)
+	s, err := ExplainPhysicalOpts(plan, cat, physical.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPlanShapeHashJoinForEquiJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err = ExplainPhysical(plan, cat)
+	s, err = ExplainPhysicalOpts(plan, cat, physical.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestHashAndNestedLoopAgree(t *testing.T) {
 				R: algebra.Col{Idx: 2, Name: "k"},
 			},
 		}
-		s, err := ExplainPhysical(plan, cat)
+		s, err := ExplainPhysicalOpts(plan, cat, physical.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,8 +174,8 @@ func TestMalformedPlanErrorsNotPanics(t *testing.T) {
 	if _, err := testExecute(bad, cat); err == nil || !strings.Contains(err.Error(), "references column 99") {
 		t.Errorf("err = %v, want column-range validation error", err)
 	}
-	if _, err := ExplainPhysical(bad, cat); err == nil {
-		t.Error("ExplainPhysical must validate too")
+	if _, err := ExplainPhysicalOpts(bad, cat, physical.Options{}); err == nil {
+		t.Error("ExplainPhysicalOpts must validate too")
 	}
 }
 

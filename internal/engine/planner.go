@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/algebra"
-	"repro/internal/physical"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -78,38 +76,6 @@ func (p *Planner) PlanSQL(query string) (algebra.Node, error) {
 		return nil, err
 	}
 	return p.Plan(stmt)
-}
-
-// Run plans and executes a SQL string.
-//
-// Deprecated: plan with PlanSQL and execute through Session.Execute with a
-// context. Kept as a thin wrapper for external callers only.
-func (p *Planner) Run(query string) (*Table, error) {
-	plan, err := p.PlanSQL(query)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewSession(p.cat, physical.Options{}).Execute(context.Background(), plan)
-	if err != nil {
-		return nil, err
-	}
-	return ResultTable(res), nil
-}
-
-// RunStmt plans and executes a parsed statement.
-//
-// Deprecated: plan with Plan and execute through Session.Execute with a
-// context. Kept as a thin wrapper for external callers only.
-func (p *Planner) RunStmt(stmt *sql.SelectStmt) (*Table, error) {
-	plan, err := p.Plan(stmt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewSession(p.cat, physical.Options{}).Execute(context.Background(), plan)
-	if err != nil {
-		return nil, err
-	}
-	return ResultTable(res), nil
 }
 
 func (p *Planner) planSelect(stmt *sql.SelectStmt) (algebra.Node, *scope, error) {
@@ -475,10 +441,7 @@ func compileExpr(e sql.Expr, sc *scope) (algebra.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n.Not {
-			return algebra.Not{E: inner}, nil
-		}
-		return algebra.Neg{E: inner}, nil
+		return unaryExpr(n.Not, inner), nil
 	case sql.Between:
 		ex, err := compileExpr(n.E, sc)
 		if err != nil {
@@ -492,7 +455,19 @@ func compileExpr(e sql.Expr, sc *scope) (algebra.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return algebra.BetweenE{E: ex, Lo: lo, Hi: hi, Negated: n.Negated}, nil
+		// Lowered to comparisons so BETWEEN runs on their kernels. NOT
+		// BETWEEN is e < lo OR e > hi: exact under three-valued logic,
+		// since Value.Compare is a total order.
+		if n.Negated {
+			return algebra.Bin{Op: algebra.OpOr,
+				L: algebra.Bin{Op: algebra.OpLt, L: ex, R: lo},
+				R: algebra.Bin{Op: algebra.OpGt, L: ex, R: hi},
+			}, nil
+		}
+		return algebra.Bin{Op: algebra.OpAnd,
+			L: algebra.Bin{Op: algebra.OpGe, L: ex, R: lo},
+			R: algebra.Bin{Op: algebra.OpLe, L: ex, R: hi},
+		}, nil
 	case sql.InList:
 		ex, err := compileExpr(n.E, sc)
 		if err != nil {
@@ -580,6 +555,21 @@ func compileExpr(e sql.Expr, sc *scope) (algebra.Expr, error) {
 	default:
 		return nil, fmt.Errorf("engine: unsupported expression %T", e)
 	}
+}
+
+// unaryExpr builds NOT or numeric negation over a compiled operand. A
+// negated constant folds to a constant (the lexer reads -87.674 as the
+// negation of a literal), so comparisons against negative literals keep
+// their constant-operand kernels. Folding through Neg.Eval keeps the value
+// exactly what evaluation would give: its kind, -0, NULL for non-numerics.
+func unaryExpr(not bool, inner algebra.Expr) algebra.Expr {
+	if not {
+		return algebra.Not{E: inner}
+	}
+	if c, ok := inner.(algebra.Const); ok {
+		return algebra.Const{V: algebra.Neg{E: c}.Eval(nil)}
+	}
+	return algebra.Neg{E: inner}
 }
 
 var binOpMap = map[sql.BinOp]algebra.BinOp{
@@ -844,10 +834,7 @@ func compilePostAgg(e sql.Expr, sc *scope, aggIdx map[string]int, nGroups int) (
 		if err != nil {
 			return nil, err
 		}
-		if n.Not {
-			return algebra.Not{E: inner}, nil
-		}
-		return algebra.Neg{E: inner}, nil
+		return unaryExpr(n.Not, inner), nil
 	case sql.Case:
 		// CASE over aggregate outputs: recompile branch-wise.
 		var operand algebra.Expr

@@ -121,7 +121,7 @@ func TestExecuteUnknownTableAtRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Execute against a different catalog missing the table.
-	if _, err := Execute(plan, NewCatalog()); err == nil {
+	if _, err := testExecute(plan, NewCatalog()); err == nil {
 		t.Error("expected unknown-table execution error")
 	}
 }

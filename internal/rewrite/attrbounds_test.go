@@ -2,12 +2,16 @@ package rewrite
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/kdb"
 	"repro/internal/models"
+	"repro/internal/semiring"
 	"repro/internal/types"
+	"repro/internal/uadb"
 )
 
 // attrFront builds an AttrBounds-mode frontend over the given AU tables.
@@ -134,24 +138,24 @@ func TestAttrBoundsAggregate(t *testing.T) {
 		t.Fatalf("groups = %v, want 2", out.Rows)
 	}
 	type want struct {
-		cat                string
-		n, s, mn, mx       [3]float64
-		av                 [3]float64
-		ec, ebg            int64
+		cat          string
+		n, s, mn, mx [3]float64
+		av           [3]float64
+		ec, ebg      int64
 	}
 	wants := []want{
 		{cat: "a",
 			n:  [3]float64{2, 2, 2},
-			s:  [3]float64{30, 30, 40},  // 10+20 .. 10+30
-			mn: [3]float64{10, 10, 10},  // 10 certain caps the min
-			mx: [3]float64{20, 20, 30},  // certain row floors the max at max(lo)=20
-			av: [3]float64{10, 15, 30},  // [min lo, bg avg, max hi]
+			s:  [3]float64{30, 30, 40}, // 10+20 .. 10+30
+			mn: [3]float64{10, 10, 10}, // 10 certain caps the min
+			mx: [3]float64{20, 20, 30}, // certain row floors the max at max(lo)=20
+			av: [3]float64{10, 15, 30}, // [min lo, bg avg, max hi]
 			ec: 1, ebg: 1},
 		{cat: "b",
-			n:  [3]float64{1, 2, 2},    // t3 may be absent
-			s:  [3]float64{7, 12, 12},  // phantom contributes min(5,0)=0 below
-			mn: [3]float64{5, 5, 7},    // without t3 the min is 7
-			mx: [3]float64{7, 7, 7},    // t4 certain: max ≥ 7; no larger upper
+			n:  [3]float64{1, 2, 2},   // t3 may be absent
+			s:  [3]float64{7, 12, 12}, // phantom contributes min(5,0)=0 below
+			mn: [3]float64{5, 5, 7},   // without t3 the min is 7
+			mx: [3]float64{7, 7, 7},   // t4 certain: max ≥ 7; no larger upper
 			av: [3]float64{5, 6, 7},
 			ec: 1, ebg: 1},
 	}
@@ -256,5 +260,75 @@ func TestAttrBoundsTupleModeUntouched(t *testing.T) {
 	}
 	if got := strings.Join(au.Schema.Attrs, ","); got != "x__lo,x,x__hi,__ec,__ebg" {
 		t.Fatalf("attr-bounds schema = %q", got)
+	}
+}
+
+// TestAttributeVsTupleLevelFNR quantifies the attribute-level mode's value
+// (the paper's Section 12 extension, its Figure 15 false negatives): on
+// random projections an AU answer row is certain iff __ec >= 1 and lo == hi
+// on every projected attribute, and that labeling never misses more certain
+// answers than the tuple-level UA-DB, and strictly fewer when the uncertain
+// attribute is projected away.
+func TestAttributeVsTupleLevelFNR(t *testing.T) {
+	rng := rand.New(rand.NewSource(707))
+	strictlyBetter := false
+	for trial := 0; trial < 40; trial++ {
+		x := models.NewXRelation(types.NewSchema("r", "a", "b", "c"))
+		for i := 0; i < 20; i++ {
+			base := types.Tuple{iv(rng.Int63n(5)), iv(rng.Int63n(5)), iv(rng.Int63n(5))}
+			if rng.Intn(3) == 0 {
+				alt := base.Clone()
+				alt[1] = iv(rng.Int63n(5) + 10) // perturb b only
+				x.AddChoice(base, alt)
+			} else {
+				x.AddCertain(base)
+			}
+		}
+		truth := models.CertainSP(x, nil, []int{0, 2})
+
+		at, err := EncodeAttrX(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runFront(attrFront(t, map[string]*AttrTable{"r": at}), "SELECT a, c FROM r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrCert := map[string]bool{}
+		for _, row := range res.Rows {
+			// [a_lo, a, a_hi, c_lo, c, c_hi, __ec, __ebg]
+			if row[6].Int() >= 1 && row[0].Equal(row[2]) && row[3].Equal(row[5]) {
+				attrCert[types.Tuple{row[1], row[4]}.Key()] = true
+			}
+		}
+
+		db := kdb.NewDatabase[semiring.Pair[int64]](semiring.UA[int64](semiring.Nat))
+		db.Put(uadb.FromXDB(x))
+		tup, err := uadb.Eval(kdb.ProjectQ{Input: kdb.Table{Name: "r"}, Attrs: []string{"a", "c"}}, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		attrMiss, tupMiss := 0, 0
+		truth.ForEach(func(tp types.Tuple, c int64) {
+			if c == 0 {
+				return
+			}
+			if !attrCert[tp.Key()] {
+				attrMiss++
+			}
+			if tup.Get(tp).Cert == 0 {
+				tupMiss++
+			}
+		})
+		if attrMiss > tupMiss {
+			t.Fatalf("trial %d: attribute-level misses %d > tuple-level %d", trial, attrMiss, tupMiss)
+		}
+		if attrMiss < tupMiss {
+			strictlyBetter = true
+		}
+	}
+	if !strictlyBetter {
+		t.Error("expected attribute-level labels to strictly win on some trial")
 	}
 }

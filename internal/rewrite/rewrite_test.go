@@ -16,7 +16,7 @@ import (
 	"repro/internal/uadb"
 )
 
-// runFront drives the frontend through its single non-deprecated entrypoint
+// runFront drives the frontend through its single execution entrypoint
 // and materializes the table shape the assertions compare.
 func runFront(front *Frontend, query string) (*engine.Table, error) {
 	res, err := front.Query(context.Background(), query, front.Opts)
