@@ -229,7 +229,7 @@ func main() {
 // given flag set.
 func benchExecFlags(fs *flag.FlagSet, budgetUsage string) *cliutil.ExecFlags {
 	return cliutil.ExecFlagSpec{
-		DOPUsage:    "workers for the suite's parallel entries (0 = GOMAXPROCS; 1 skips them)",
+		DOPUsage:     "workers for the suite's parallel entries (0 = GOMAXPROCS; 1 skips them)",
 		BudgetUsage:  budgetUsage,
 		NoFuse:       true,
 		NoAttrBounds: true,

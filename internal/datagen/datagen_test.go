@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -22,6 +23,16 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if len(a.X.XTuples) != len(b.X.XTuples) {
 		t.Error("row counts differ")
+	}
+}
+
+// TestGenerateRealTablesSameSeed checks the real-query tables cell for
+// cell: the same seed must give identical x-relations, alternatives and
+// their order included.
+func TestGenerateRealTablesSameSeed(t *testing.T) {
+	a, b := GenerateRealTables(400, 0.3, 5), GenerateRealTables(400, 0.3, 5)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two generations with the same seed differ")
 	}
 }
 

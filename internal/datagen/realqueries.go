@@ -3,6 +3,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/models"
 	"repro/internal/types"
@@ -109,22 +110,29 @@ func addUncertain(rel *models.XRelation, row types.Tuple, gens map[int]func() ty
 		rel.AddCertain(row)
 		return
 	}
+	// Columns are listed and redrawn in ascending order, never in map
+	// order, so a seed always draws the same numbers for the same cells.
 	cols := make([]int, 0, len(gens))
-	for c := range gens {
-		cols = append(cols, c)
+	for c := range row {
+		if _, ok := gens[c]; ok {
+			cols = append(cols, c)
+		}
 	}
 	// Choose 1-2 dirty cells deterministically from the rng.
 	nDirty := rng.Intn(2) + 1
-	dirty := map[int]bool{}
+	var dirty []int
 	for len(dirty) < nDirty {
-		dirty[cols[rng.Intn(len(cols))]] = true
+		if c := cols[rng.Intn(len(cols))]; !slices.Contains(dirty, c) {
+			dirty = append(dirty, c)
+		}
 	}
+	slices.Sort(dirty)
 	nAlts := rng.Intn(2) + 2
 	alts := make([]models.Alternative, 0, nAlts)
 	alts = append(alts, models.Alternative{Data: row, Prob: 1 / float64(nAlts)})
 	for a := 1; a < nAlts; a++ {
 		alt := row.Clone()
-		for c := range dirty {
+		for _, c := range dirty {
 			alt[c] = gens[c]()
 		}
 		alts = append(alts, models.Alternative{Data: alt, Prob: 1 / float64(nAlts)})

@@ -141,9 +141,11 @@ type cellGenerators map[int]func(*rand.Rand) types.Value
 // uncertain cell. The original row stays the first alternative, so the
 // best-guess world is the clean generation.
 func addRow(rel *models.XRelation, row types.Tuple, gens cellGenerators, cfg Config, rng *rand.Rand) {
+	// Columns are visited in ascending order, never in map order, so a seed
+	// always draws the same numbers for the same cells.
 	var dirty []int
-	for col := range gens {
-		if rng.Float64() < cfg.Uncertainty {
+	for col := range row {
+		if _, ok := gens[col]; ok && rng.Float64() < cfg.Uncertainty {
 			dirty = append(dirty, col)
 		}
 	}

@@ -2,6 +2,7 @@ package pdbench
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -42,6 +43,19 @@ func TestGenerateDeterministic(t *testing.T) {
 		sa, sb := a.Stats()[name], b.Stats()[name]
 		if sa != sb {
 			t.Errorf("%s: generation not deterministic: %v vs %v", name, sa, sb)
+		}
+	}
+}
+
+// TestGenerateSameSeedSameXRelations checks generation cell for cell, not
+// just its statistics: the same seed must give identical x-relations,
+// alternatives and their order included.
+func TestGenerateSameSeedSameXRelations(t *testing.T) {
+	cfg := Config{SF: 0.05, Uncertainty: 0.2, Seed: 7}
+	a, b := Generate(cfg), Generate(cfg)
+	for name, rel := range a.Tables {
+		if !reflect.DeepEqual(rel, b.Tables[name]) {
+			t.Errorf("%s: two generations with seed %d differ", name, cfg.Seed)
 		}
 	}
 }

@@ -7,32 +7,35 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/spill"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // HashAggregate groups the input by the key expressions and computes the
-// aggregate functions. Open consumes the input batch by batch — group-by
-// keys are evaluated expression-at-a-time into reused key columns
-// (algebra.EvalColumn), and groups are keyed with the shared canonical
-// binary encoding (key.go) — then Next streams one row per group in
-// first-seen order (a global aggregate over an empty input still emits one
-// row). Output rows are freshly allocated, group-by columns first,
-// aggregate columns after, and emitted in shared-spine batches slicing the
+// aggregate functions. Open folds the input batch by batch into one group
+// table (aggTable) — group keys and aggregate arguments evaluate through
+// the vector kernels whenever the batch has a columnar view, boxed over the
+// row view otherwise, and groups are keyed with the shared canonical binary
+// encoding (key.go) — then Next streams one row per group in first-seen
+// order (a global aggregate over an empty input still emits one row).
+// Output rows are freshly allocated, group-by columns first, aggregate
+// columns after, and emitted in shared-spine batches slicing the
 // materialized result.
 //
-// With a memory governor (Mem non-nil), the group table is bounded: each
-// new group Forces its estimated state bytes, and whenever a folded batch
-// pushes the tracked total over budget the whole table — a "generation" of
-// partial states, tagged with their global first-seen sequence numbers —
-// is spilled to hash-partitioned temp files and the memory released.
-// After the input is exhausted, each partition is re-aggregated on its own
-// (partials for one group always land in one partition, so the exact
-// aggState.merge combination applies generation by generation, in input
-// order), recursing with a re-salted hash if a partition alone still
-// exceeds the budget. The final groups are ordered by their first-seen
-// sequence numbers, which restores the in-memory operator's global
-// first-seen output order byte for byte. Only the materialized result rows
-// — the operator's output, which Next hands to the consumer — live outside
-// the budget, exactly as they do on the in-memory path.
+// With a memory governor (Mem non-nil), the group table is bounded: its
+// estimated size (aggTable.stateMemSize) is Forced as it grows, and
+// whenever a folded batch pushes the tracked total over budget the whole
+// table — a "generation" of partial states, tagged with their global
+// first-seen sequence numbers — is spilled as typed column blocks to
+// hash-partitioned temp files and the memory released. After the input is
+// exhausted, each partition is re-aggregated on its own (partials for one
+// group always land in one partition, so the exact aggTable.merge
+// combination applies generation by generation, in input order),
+// recursing with a re-salted hash if a partition alone still exceeds the
+// budget. The final groups are ordered by their first-seen sequence
+// numbers, which restores the in-memory operator's global first-seen
+// output order. Only the materialized result rows — the operator's output,
+// which Next hands to the consumer — live outside the budget, exactly as
+// they do on the in-memory path.
 type HashAggregate struct {
 	Input      Operator
 	GroupBy    []algebra.Expr
@@ -42,11 +45,13 @@ type HashAggregate struct {
 	SpillDir   string       // temp dir for spilled partitions; "" means os.TempDir()
 	schema     types.Schema
 
-	out  [][]types.Value
-	pos  int
-	held int64
-	sp   *spillSet
-	b    Batch
+	out   [][]types.Value
+	pos   int
+	held  int64
+	sp    *spillSet
+	gens  int // generations the last Open spilled, the final flush included
+	depth int // deepest partition merge of the last Open; 0 if it never spilled
+	b     Batch
 }
 
 // NewHashAggregate builds a hash aggregate with the output schema of the
@@ -63,258 +68,146 @@ func NewHashAggregate(in Operator, groupBy []algebra.Expr, groupNames []string, 
 // Schema implements Operator.
 func (h *HashAggregate) Schema() types.Schema { return h.schema }
 
-// aggState accumulates one group's running aggregates.
-type aggState struct {
-	groupRow []types.Value
-	count    []int64
-	sumI     []int64
-	sumF     []float64
-	isFloat  []bool
-	min      []types.Value
-	max      []types.Value
-	seen     []bool
-}
+// SpillStats reports how the last Open spilled: the partial-state
+// generations written (the final flush included; 0 when the groups fit)
+// and the deepest partition merge (1 without re-partitioning).
+func (h *HashAggregate) SpillStats() (generations, depth int) { return h.gens, h.depth }
 
-func newAggState(groupRow []types.Value, nAggs int) *aggState {
-	return &aggState{
-		groupRow: groupRow,
-		count:    make([]int64, nAggs),
-		sumI:     make([]int64, nAggs),
-		sumF:     make([]float64, nAggs),
-		isFloat:  make([]bool, nAggs),
-		min:      make([]types.Value, nAggs),
-		max:      make([]types.Value, nAggs),
-		seen:     make([]bool, nAggs),
-	}
-}
-
-// merge folds another partial state for the same group into st. Counts and
-// sums add, extrema combine, and the float-ness flag ORs — exact for COUNT,
-// integer SUM, MIN, and MAX; float SUM/AVG merge re-associates the addition,
-// so parallel aggregation of float columns can differ from the serial result
-// in the last ulp (the merge order itself — morsel sequence order — is
-// deterministic, so a given input always produces the same answer).
-func (st *aggState) merge(o *aggState) {
-	for i := range st.count {
-		st.count[i] += o.count[i]
-		st.sumI[i] += o.sumI[i]
-		st.sumF[i] += o.sumF[i]
-		st.isFloat[i] = st.isFloat[i] || o.isFloat[i]
-		if !o.seen[i] {
-			continue
-		}
-		if !st.seen[i] {
-			st.min[i], st.max[i] = o.min[i], o.max[i]
-			st.seen[i] = true
-			continue
-		}
-		if o.min[i].Compare(st.min[i]) < 0 {
-			st.min[i] = o.min[i]
-		}
-		if o.max[i].Compare(st.max[i]) > 0 {
-			st.max[i] = o.max[i]
-		}
-	}
-}
-
-// absorbValue folds one already-evaluated aggregate argument into the i-th
-// aggregate's state. SQL aggregates skip NULL arguments; COUNT(*) never
-// reaches here (its rows are counted unconditionally by the caller).
-func (st *aggState) absorbValue(i int, v types.Value) {
-	if v.IsNull() {
-		return
-	}
-	st.count[i]++
-	if v.IsNumeric() {
-		if v.Kind() == types.KindFloat {
-			st.isFloat[i] = true
-		}
-		if v.Kind() == types.KindInt {
-			st.sumI[i] += v.Int()
-		}
-		st.sumF[i] += v.Float()
-	}
-	if !st.seen[i] {
-		st.min[i], st.max[i] = v, v
-		st.seen[i] = true
-	} else {
-		if v.Compare(st.min[i]) < 0 {
-			st.min[i] = v
-		}
-		if v.Compare(st.max[i]) > 0 {
-			st.max[i] = v
-		}
-	}
-}
-
-// result renders the group's final output columns for the aggregate specs.
-func (st *aggState) result(aggs []algebra.AggSpec, nGroupCols int) []types.Value {
-	row := make([]types.Value, 0, nGroupCols+len(aggs))
-	row = append(row, st.groupRow...)
-	for i, a := range aggs {
-		switch a.Func {
-		case algebra.AggCount:
-			row = append(row, types.NewInt(st.count[i]))
-		case algebra.AggSum:
-			switch {
-			case st.count[i] == 0:
-				row = append(row, types.Null())
-			case st.isFloat[i]:
-				row = append(row, types.NewFloat(st.sumF[i]))
-			default:
-				row = append(row, types.NewInt(st.sumI[i]))
-			}
-		case algebra.AggAvg:
-			if st.count[i] == 0 {
-				row = append(row, types.Null())
-			} else {
-				row = append(row, types.NewFloat(st.sumF[i]/float64(st.count[i])))
-			}
-		case algebra.AggMin:
-			if !st.seen[i] {
-				row = append(row, types.Null())
-			} else {
-				row = append(row, st.min[i])
-			}
-		case algebra.AggMax:
-			if !st.seen[i] {
-				row = append(row, types.Null())
-			} else {
-				row = append(row, st.max[i])
-			}
-		}
-	}
-	return row
-}
-
-// aggFolder is the batch-folding core shared by the serial HashAggregate and
-// the per-worker partial aggregation of ParallelHashAggregate: compiled
-// group-key and argument kernels, reused evaluation columns, and the
-// canonical-key group lookup. One folder belongs to one goroutine — the
-// kernels it compiles are closures, so parallel workers each build their own.
-//
-// When every group-by expression is a bare column and the batch is columnar,
-// group keys are encoded straight from the vectors (the per-vector-type
-// AppendElemKey fast paths) instead of boxing each key cell through
-// EvalColumn; the group's representative row is still boxed, but only once
-// per distinct group.
-type aggFolder struct {
-	aggs       []algebra.AggSpec
-	groupProgs []*algebra.Compiled
-	argProgs   []*algebra.Compiled
-	groupIdx   []int // column index per group expr when all are bare Cols
-	keyCols    [][]types.Value
-	argCols    [][]types.Value
-	keyBuf     []byte
-}
-
-// newAggFolder compiles the group and argument expressions.
-func newAggFolder(groupBy []algebra.Expr, aggs []algebra.AggSpec) *aggFolder {
-	f := &aggFolder{
-		aggs:       aggs,
-		groupProgs: algebra.CompileAll(groupBy),
-		argProgs:   make([]*algebra.Compiled, len(aggs)),
-		keyCols:    make([][]types.Value, len(groupBy)),
-		argCols:    make([][]types.Value, len(aggs)),
-	}
-	f.groupIdx = make([]int, 0, len(groupBy))
-	for _, e := range groupBy {
-		c, isCol := e.(algebra.Col)
-		if !isCol {
-			f.groupIdx = nil
-			break
-		}
-		f.groupIdx = append(f.groupIdx, c.Idx)
-	}
+// aggArgs lists the aggregates' argument expressions, nil for COUNT(*).
+func aggArgs(aggs []algebra.AggSpec) []algebra.Expr {
+	args := make([]algebra.Expr, len(aggs))
 	for i, a := range aggs {
 		if !a.Star {
-			f.argProgs[i] = algebra.Compile(a.Arg)
+			args[i] = a.Arg
+		}
+	}
+	return args
+}
+
+// aggFolder is the folding core shared by every aggregate operator: the
+// compiled predicate (fused chains only), group-key and argument kernels,
+// their reused evaluation scratch, and the assignment of rows to groups of
+// an aggTable. One folder belongs to one goroutine — the kernels it
+// compiles are closures with private scratch, so parallel workers each
+// build their own.
+type aggFolder struct {
+	predProgs  []*algebra.Compiled
+	groupProgs []*algebra.Compiled
+	argProgs   []*algebra.Compiled // nil entries are COUNT(*)
+
+	keyVecs   []vector.Vector
+	boxed     []vector.ValueVector // row-view evaluation scratch: keys, then arguments
+	groupVals []types.Value
+	keyBuf    []byte
+	slots     []int32 // row → its group id, in row (or selection) order
+	sel, sel2 []int
+}
+
+func newAggFolder(preds, groupBy, args []algebra.Expr) *aggFolder {
+	f := &aggFolder{
+		predProgs:  algebra.CompileAll(preds),
+		groupProgs: algebra.CompileAll(groupBy),
+		argProgs:   make([]*algebra.Compiled, len(args)),
+		keyVecs:    make([]vector.Vector, len(groupBy)),
+		boxed:      make([]vector.ValueVector, len(groupBy)+len(args)),
+		groupVals:  make([]types.Value, len(groupBy)),
+	}
+	for i, e := range args {
+		if e != nil {
+			f.argProgs[i] = algebra.Compile(e)
 		}
 	}
 	return f
 }
 
-// fold absorbs one batch into groups, calling add (in first-seen order) for
-// every group created along the way.
-func (f *aggFolder) fold(b *Batch, groups map[string]*aggState, add func(key string, st *aggState)) {
+// fold absorbs one batch into t. Keys and arguments evaluate through the
+// vector kernels whenever the batch has a columnar view; an expression
+// without a kernel, or a row-only batch, evaluates boxed over the row view
+// and folds through absorbCol's boxed arm.
+func (f *aggFolder) fold(b *Batch, t *aggTable) {
 	n := b.Len()
+	if n == 0 {
+		return
+	}
 	cols := b.Cols()
-	useVec := cols != nil && f.groupIdx != nil && len(f.groupIdx) > 0
+	for g, prog := range f.groupProgs {
+		f.keyVecs[g] = f.eval(prog, &f.boxed[g], b, cols, n)
+	}
+	f.absorb(t, f.assign(t, n, nil), nil, func(a int, prog *algebra.Compiled) vector.Vector {
+		return f.eval(prog, &f.boxed[len(f.groupProgs)+a], b, cols, n)
+	})
+}
 
-	// The aggregate arguments still evaluate through the row kernels; only
-	// batches that need them (any non-COUNT(*) aggregate, or a non-columnar
-	// key path) materialize a row view — a COUNT(*)-only aggregate over a
-	// column-only batch never boxes a cell.
-	var rows [][]types.Value
-	needRows := !useVec
-	for _, prog := range f.argProgs {
-		if prog != nil {
-			needRows = true
+// eval evaluates prog over the batch: unboxed when it can, else boxed
+// into box.
+func (f *aggFolder) eval(prog *algebra.Compiled, box *vector.ValueVector, b *Batch, cols []vector.Vector, n int) vector.Vector {
+	if cols != nil {
+		if v, ok := prog.EvalVec(cols, n); ok {
+			return v
 		}
 	}
-	if needRows {
-		rows = b.Rows()
-	}
+	box.Vals = prog.EvalColumn(b.Rows(), box.Vals[:0])
+	return box
+}
 
-	if !useVec {
-		for g, prog := range f.groupProgs {
-			f.keyCols[g] = prog.EvalColumn(rows, f.keyCols[g][:0])
-		}
+// assign maps the count evaluated rows — position sel[i], or i when sel is
+// nil, of f.keyVecs — to their groups in t, creating groups first-seen.
+func (f *aggFolder) assign(t *aggTable, count int, sel []int) []int32 {
+	if cap(f.slots) < count {
+		f.slots = make([]int32, count)
 	}
-	for i, prog := range f.argProgs {
-		if prog != nil {
-			f.argCols[i] = prog.EvalColumn(rows, f.argCols[i][:0])
+	slots := f.slots[:count]
+	if len(f.keyVecs) == 0 {
+		// A global aggregate: every row belongs to the one group.
+		if t.len() == 0 {
+			t.add("", nil)
 		}
+		clear(slots)
+		return slots
 	}
-	for i := 0; i < n; i++ {
-		f.keyBuf = f.keyBuf[:0]
-		if useVec {
-			f.keyBuf = appendVecColsKey(f.keyBuf, cols, i, f.groupIdx)
-		} else {
-			for g := range f.keyCols {
-				f.keyBuf = f.keyCols[g][i].AppendKey(f.keyBuf)
-				f.keyBuf = append(f.keyBuf, '|')
-			}
+	for i := range slots {
+		pos := i
+		if sel != nil {
+			pos = sel[i]
 		}
-		st, ok := groups[string(f.keyBuf)]
+		f.keyBuf = appendVecRowKey(f.keyBuf[:0], f.keyVecs, pos)
+		id, ok := t.find(f.keyBuf)
 		if !ok {
-			groupRow := make([]types.Value, len(f.groupProgs))
-			if useVec {
-				for g, idx := range f.groupIdx {
-					groupRow[g] = cols[idx].Value(i)
-				}
-			} else {
-				for g := range f.keyCols {
-					groupRow[g] = f.keyCols[g][i]
-				}
+			for g, kv := range f.keyVecs {
+				f.groupVals[g] = kv.Value(pos)
 			}
-			st = newAggState(groupRow, len(f.aggs))
-			key := string(f.keyBuf)
-			groups[key] = st
-			add(key, st)
+			id = t.add(string(f.keyBuf), f.groupVals)
 		}
-		for a := range f.argProgs {
-			if f.argProgs[a] == nil {
-				st.count[a]++ // COUNT(*) counts rows unconditionally
-			} else {
-				st.absorbValue(a, f.argCols[a][i])
-			}
+		slots[i] = id
+	}
+	return slots
+}
+
+// absorb folds every aggregate column-at-a-time into the assigned groups;
+// eval yields aggregate a's argument column. Rows stay ascending within
+// each aggregate, and aggregates are independent, so every group sees its
+// arguments in row order — the serial addition order of float sums.
+func (f *aggFolder) absorb(t *aggTable, slots []int32, sel []int, eval func(a int, prog *algebra.Compiled) vector.Vector) {
+	for a, prog := range f.argProgs {
+		if prog == nil {
+			t.countRows(a, slots)
+			continue
 		}
+		t.absorbCol(a, eval(a, prog), slots, sel)
 	}
 }
 
 // Open implements Operator: it consumes the input and builds all groups.
 func (h *HashAggregate) Open() error {
-	h.out, h.pos, h.held, h.sp = nil, 0, 0, nil
+	h.out, h.pos, h.held, h.sp, h.gens, h.depth = nil, 0, 0, nil, 0, 0
 	if err := h.Input.Open(); err != nil {
 		return err
 	}
 	if h.Mem != nil {
 		return h.openGoverned()
 	}
-	groups := make(map[string]*aggState)
-	var states []*aggState // first-seen order
-	folder := newAggFolder(h.GroupBy, h.Aggs)
+	t := newAggTable(len(h.GroupBy), h.Aggs)
+	folder := newAggFolder(nil, h.GroupBy, aggArgs(h.Aggs))
 	for {
 		b, err := h.Input.Next()
 		if err != nil {
@@ -323,27 +216,10 @@ func (h *HashAggregate) Open() error {
 		if b == nil {
 			break
 		}
-		folder.fold(b, groups, func(_ string, st *aggState) {
-			states = append(states, st)
-		})
+		folder.fold(b, t)
 	}
-	h.out = finishAggStates(states, len(h.GroupBy) == 0, h.Aggs, len(h.GroupBy))
+	h.out = t.results(len(h.GroupBy) == 0)
 	return nil
-}
-
-// finishAggStates renders final group states (in first-seen order) into
-// output rows — the shared tail of every aggregate operator. global applies
-// the empty-input rule: a global aggregate (no GROUP BY) over an empty input
-// still emits one row.
-func finishAggStates(states []*aggState, global bool, aggs []algebra.AggSpec, nGroupCols int) [][]types.Value {
-	if global && len(states) == 0 {
-		states = append(states, newAggState(nil, len(aggs)))
-	}
-	out := make([][]types.Value, 0, len(states))
-	for _, st := range states {
-		out = append(out, st.result(aggs, nGroupCols))
-	}
-	return out
 }
 
 // SpillPartitions is the fan-out of the aggregate's (and grace join's)
@@ -360,71 +236,6 @@ const SpillPartitions = 16
 // as forced slack.
 const maxSpillDepth = 8
 
-// aggPartial is one group's partial state tagged with the global sequence
-// number of its first appearance — the sort key that restores first-seen
-// output order after partitioned re-aggregation.
-type aggPartial struct {
-	key string
-	seq int64
-	st  *aggState
-}
-
-// stateMemSize estimates the resident bytes of one group's map entry and
-// aggregate state.
-func (h *HashAggregate) stateMemSize(key string, st *aggState) int64 {
-	return int64(len(key)) + 96 + RowMemSize(st.groupRow) + int64(len(st.count))*138
-}
-
-// encodePartial renders a partial state as a plain value row for spilling:
-// the first-seen sequence, the group-by values, then per aggregate the
-// exact merge state (count, integer and float sums, float-ness, extrema,
-// seen flag) — everything aggState.merge needs to combine generations.
-func encodePartial(seq int64, st *aggState, nAggs int) []types.Value {
-	row := make([]types.Value, 0, 1+len(st.groupRow)+7*nAggs)
-	row = append(row, types.NewInt(seq))
-	row = append(row, st.groupRow...)
-	for i := 0; i < nAggs; i++ {
-		row = append(row,
-			types.NewInt(st.count[i]),
-			types.NewInt(st.sumI[i]),
-			types.NewFloat(st.sumF[i]),
-			types.NewBool(st.isFloat[i]),
-			st.min[i],
-			st.max[i],
-			types.NewBool(st.seen[i]),
-		)
-	}
-	return row
-}
-
-// decodePartial is the inverse of encodePartial.
-func decodePartial(row []types.Value, nGroup, nAggs int) (int64, *aggState, error) {
-	if len(row) != 1+nGroup+7*nAggs {
-		return 0, nil, fmt.Errorf("physical: corrupt spilled aggregate state (arity %d)", len(row))
-	}
-	if row[0].Kind() != types.KindInt {
-		return 0, nil, fmt.Errorf("physical: corrupt spilled aggregate state")
-	}
-	seq := row[0].Int()
-	st := newAggState(append([]types.Value{}, row[1:1+nGroup]...), nAggs)
-	for i := 0; i < nAggs; i++ {
-		f := row[1+nGroup+7*i:]
-		if f[0].Kind() != types.KindInt || f[1].Kind() != types.KindInt ||
-			f[2].Kind() != types.KindFloat || f[3].Kind() != types.KindBool ||
-			f[6].Kind() != types.KindBool {
-			return 0, nil, fmt.Errorf("physical: corrupt spilled aggregate state")
-		}
-		st.count[i] = f[0].Int()
-		st.sumI[i] = f[1].Int()
-		st.sumF[i] = f[2].Float()
-		st.isFloat[i] = f[3].Bool()
-		st.min[i] = f[4]
-		st.max[i] = f[5]
-		st.seen[i] = f[6].Bool()
-	}
-	return seq, st, nil
-}
-
 // seqRow is a rendered output row tagged with its first-seen sequence.
 type seqRow struct {
 	seq int64
@@ -434,13 +245,17 @@ type seqRow struct {
 // openGoverned is Open under a memory budget: generation spilling during
 // the fold, partitioned re-aggregation after it.
 func (h *HashAggregate) openGoverned() error {
-	nAggs := len(h.Aggs)
-	groups := make(map[string]*aggState)
-	var gen []aggPartial // live generation, creation (= first-seen) order
-	var genBytes int64
-	var nextSeq int64
-	var parts [SpillPartitions]*spill.Writer
-	spilled := false
+	nGroup := len(h.GroupBy)
+	folder := newAggFolder(nil, h.GroupBy, aggArgs(h.Aggs))
+	t := newAggTable(nGroup, h.Aggs)
+	var held int64    // t's charge
+	var genBase int64 // first-seen sequence of t's group 0
+	var gen *partialRouter
+	release := func() {
+		h.Mem.Release(held)
+		h.held -= held
+		held = 0
+	}
 
 	spillGen := func() error {
 		// A cancelled query aborts before paying the eviction I/O; Close
@@ -448,46 +263,22 @@ func (h *HashAggregate) openGoverned() error {
 		if err := h.Mem.Err(); err != nil {
 			return err
 		}
-		if h.sp == nil {
-			h.sp = newSpillSet(h.SpillDir, h.Mem)
+		if gen == nil {
+			h.sp = newFrameSpillSet(h.SpillDir, h.Mem)
+			gen = newPartialRouter(h, 0)
 		}
-		var keyBuf []byte
-		for i := range gen {
-			p := &gen[i]
-			keyBuf = append(keyBuf[:0], p.key...)
-			part := keyHashSalted(keyBuf, 0) % SpillPartitions
-			if parts[part] == nil {
-				w, err := h.sp.newWriter()
-				if err != nil {
-					return err
-				}
-				parts[part] = w
-			}
-			if err := parts[part].Append(encodePartial(p.seq, p.st, nAggs)); err != nil {
-				return err
-			}
+		base := genBase
+		if err := gen.route(0, t.len(), t.keyOf, t.vals, t.cols,
+			func(j int) int64 { return base + int64(j) }); err != nil {
+			return err
 		}
-		gen = gen[:0]
-		groups = make(map[string]*aggState)
-		h.Mem.Release(genBytes)
-		h.held -= genBytes
-		genBytes = 0
-		spilled = true
+		genBase += int64(t.len())
+		h.gens++
+		t = newAggTable(nGroup, h.Aggs)
+		release()
 		return nil
 	}
 
-	folder := newAggFolder(h.GroupBy, h.Aggs)
-	add := func(key string, st *aggState) {
-		// The group exists either way; Force tracks it and the post-batch
-		// pressure check below spills the generation if this batch pushed
-		// the table over budget.
-		b := h.stateMemSize(key, st)
-		h.Mem.Force(b)
-		h.held += b
-		genBytes += b
-		gen = append(gen, aggPartial{key: key, seq: nextSeq, st: st})
-		nextSeq++
-	}
 	for {
 		b, err := h.Input.Next()
 		if err != nil {
@@ -496,7 +287,15 @@ func (h *HashAggregate) openGoverned() error {
 		if b == nil {
 			break
 		}
-		folder.fold(b, groups, add)
+		// The groups exist either way; Force tracks the table's growth and
+		// the pressure check spills the generation if this batch pushed
+		// the query over budget.
+		folder.fold(b, t)
+		if s := t.stateMemSize(); s > held {
+			h.Mem.Force(s - held)
+			h.held += s - held
+			held = s
+		}
 		if h.Mem.Over() {
 			if err := spillGen(); err != nil {
 				return err
@@ -504,18 +303,10 @@ func (h *HashAggregate) openGoverned() error {
 		}
 	}
 
-	if !spilled {
+	if gen == nil {
 		// Never under pressure: exactly the in-memory result.
-		states := gen
-		if len(h.GroupBy) == 0 && len(states) == 0 {
-			states = append(states, aggPartial{st: newAggState(nil, nAggs)})
-		}
-		h.out = make([][]types.Value, 0, len(states))
-		for _, p := range states {
-			h.out = append(h.out, p.st.result(h.Aggs, len(h.GroupBy)))
-		}
-		h.Mem.Release(genBytes)
-		h.held -= genBytes
+		h.out = t.results(nGroup == 0)
+		release()
 		return nil
 	}
 
@@ -524,22 +315,19 @@ func (h *HashAggregate) openGoverned() error {
 	if err := spillGen(); err != nil {
 		return err
 	}
+	runs, err := gen.finish()
+	if err != nil {
+		return err
+	}
 	var results []seqRow
-	for _, w := range parts {
-		if w == nil {
-			continue
-		}
-		run, err := h.sp.finish(w)
-		if err != nil {
-			return err
-		}
+	for _, run := range runs {
 		if err := h.mergePartition(run, 1, &results); err != nil {
 			return err
 		}
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].seq < results[j].seq })
-	if len(h.GroupBy) == 0 && len(results) == 0 {
-		results = append(results, seqRow{row: newAggState(nil, nAggs).result(h.Aggs, 0)})
+	if nGroup == 0 && len(results) == 0 {
+		results = append(results, seqRow{row: newAggTable(0, h.Aggs).results(true)[0]})
 	}
 	h.out = make([][]types.Value, 0, len(results))
 	for _, r := range results {
@@ -549,7 +337,7 @@ func (h *HashAggregate) openGoverned() error {
 }
 
 // mergePartition re-aggregates one partition file: partial states are
-// merged by group key in file order (= generation order, so aggState.merge
+// merged by group key in file order (= generation order, so aggTable.merge
 // combines them exactly as the parallel aggregate's sequence-ordered merge
 // does), tracking each group's minimum first-seen sequence. If the
 // partition alone exceeds the budget, its states — merged so far and
@@ -557,154 +345,409 @@ func (h *HashAggregate) openGoverned() error {
 // recursively. Rendered rows are appended to out; every consumed temp file
 // is removed eagerly.
 func (h *HashAggregate) mergePartition(run *spill.Run, depth int, out *[]seqRow) error {
-	nGroup, nAggs := len(h.GroupBy), len(h.Aggs)
 	rd, err := h.sp.open(run)
 	if err != nil {
 		return err
 	}
-	var frame [][]types.Value
-	fi := 0
-	var frameHeld int64 // the resident frame, tracked like a merge cursor's
-	nextRow := func() ([]types.Value, error) {
-		for {
-			if fi < len(frame) {
-				r := frame[fi]
-				fi++
-				return r, nil
-			}
-			f, err := rd.Next()
-			h.Mem.Release(frameHeld)
-			h.held -= frameHeld
-			frameHeld = 0
-			if err != nil || f == nil {
-				return nil, err
-			}
-			frameHeld = RowsMemSize(f)
-			h.Mem.Force(frameHeld)
-			h.held += frameHeld
-			frame, fi = f, 0
-		}
-	}
-	entries := make(map[string]int)
-	var order []*aggPartial
-	var bytes int64
+	h.depth = max(h.depth, depth)
+	pr := &partialReader{h: h, rd: rd}
+	t := newAggTable(len(h.GroupBy), h.Aggs)
+	var seqs []int64 // per group id: minimum first-seen sequence
+	var held int64   // t's and seqs' charge
 	var keyBuf []byte
 	for {
-		prow, err := nextRow()
+		blk, err := pr.next()
 		if err != nil {
 			return err
 		}
-		if prow == nil {
+		if blk == nil {
 			break
 		}
-		seq, st, err := decodePartial(prow, nGroup, nAggs)
-		if err != nil {
-			return err
-		}
-		keyBuf = appendRowKey(keyBuf[:0], st.groupRow)
-		if idx, ok := entries[string(keyBuf)]; ok {
-			e := order[idx]
-			e.st.merge(st)
-			if seq < e.seq {
-				e.seq = seq
+		for i := 0; i < blk.n; i++ {
+			keyBuf = appendRowKey(keyBuf[:0], blk.groupRow(i))
+			if id, ok := t.find(keyBuf); ok {
+				t.merge(id, blk.cols, i)
+				seqs[id] = min(seqs[id], blk.seq[i])
+				continue
 			}
-			continue
-		}
-		key := string(keyBuf)
-		b := h.stateMemSize(key, st)
-		if !h.Mem.Reserve(b) {
-			if depth < maxSpillDepth {
-				err := h.repartition(order, bytes, aggPartial{seq: seq, st: st}, nextRow, depth, out)
-				rd.Close()
-				h.Mem.Release(frameHeld)
-				h.held -= frameHeld
-				if err != nil {
-					return err
+			id := t.add(string(keyBuf), blk.groupRow(i))
+			t.merge(id, blk.cols, i)
+			seqs = append(seqs, blk.seq[i])
+			s := t.stateMemSize() + 8*int64(cap(seqs))
+			if s <= held {
+				continue
+			}
+			if !h.Mem.Reserve(s - held) {
+				if depth < maxSpillDepth {
+					return h.repartition(t, seqs, held, blk, i+1, pr, run, depth, out)
 				}
-				return run.Remove()
+				h.Mem.Force(s - held)
 			}
-			h.Mem.Force(b)
+			h.held += s - held
+			held = s
 		}
-		h.held += b
-		e := &aggPartial{key: key, seq: seq, st: st}
-		entries[e.key] = len(order)
-		order = append(order, e)
-		bytes += b
 	}
-	rd.Close()
+	pr.close()
 	if err := run.Remove(); err != nil {
 		return err
 	}
-	for _, e := range order {
-		*out = append(*out, seqRow{seq: e.seq, row: e.st.result(h.Aggs, nGroup)})
+	for id, seq := range seqs {
+		*out = append(*out, seqRow{seq: seq, row: t.appendResult(nil, int32(id))})
 	}
-	h.Mem.Release(bytes)
-	h.held -= bytes
+	h.Mem.Release(held)
+	h.held -= held
 	return nil
 }
 
 // repartition splits an over-budget partition into sub-partitions under a
-// re-salted hash: the states merged so far (released from memory), the
-// state that tripped the budget, and the unread remainder of the stream
-// all spill to the sub-files, which are then merged recursively. A group's
+// re-salted hash: the states merged so far in t (released from memory,
+// including the group whose growth tripped the budget), the rest of the
+// current block from row from on, and the unread remainder of the run all
+// spill to the sub-files, which are then merged recursively. A group's
 // merged-so-far state is written before its remaining partials, so
 // generation merge order is preserved.
-func (h *HashAggregate) repartition(order []*aggPartial, bytes int64, cur aggPartial,
-	nextRow func() ([]types.Value, error), depth int, out *[]seqRow) error {
-	nAggs := len(h.Aggs)
-	var subs [SpillPartitions]*spill.Writer
-	var keyBuf []byte
-	route := func(seq int64, st *aggState) error {
-		keyBuf = appendRowKey(keyBuf[:0], st.groupRow)
-		p := keyHashSalted(keyBuf, uint64(depth)) % SpillPartitions
-		if subs[p] == nil {
-			w, err := h.sp.newWriter()
-			if err != nil {
-				return err
-			}
-			subs[p] = w
-		}
-		return subs[p].Append(encodePartial(seq, st, nAggs))
-	}
-	for _, e := range order {
-		if err := route(e.seq, e.st); err != nil {
-			return err
+func (h *HashAggregate) repartition(t *aggTable, seqs []int64, held int64, blk *partialBlock, from int,
+	pr *partialReader, run *spill.Run, depth int, out *[]seqRow) error {
+	r := newPartialRouter(h, uint64(depth))
+	err := r.route(0, t.len(), t.keyOf, t.vals, t.cols, func(j int) int64 { return seqs[j] })
+	h.Mem.Release(held)
+	h.held -= held
+	for err == nil && blk != nil {
+		b := blk
+		if err = r.route(from, b.n, func(j int, buf []byte) []byte { return appendRowKey(buf, b.groupRow(j)) },
+			b.vals, b.cols, func(j int) int64 { return b.seq[j] }); err == nil {
+			blk, err = pr.next()
+			from = 0
 		}
 	}
-	h.Mem.Release(bytes)
-	h.held -= bytes
-	if err := route(cur.seq, cur.st); err != nil {
+	pr.close()
+	if err != nil {
 		return err
 	}
-	for {
-		prow, err := nextRow()
-		if err != nil {
-			return err
-		}
-		if prow == nil {
-			break
-		}
-		seq, st, err := decodePartial(prow, len(h.GroupBy), nAggs)
-		if err != nil {
-			return err
-		}
-		if err := route(seq, st); err != nil {
-			return err
-		}
+	if err := run.Remove(); err != nil {
+		return err
 	}
-	for _, w := range subs {
-		if w == nil {
-			continue
-		}
-		run, err := h.sp.finish(w)
-		if err != nil {
-			return err
-		}
-		if err := h.mergePartition(run, depth+1, out); err != nil {
+	runs, err := r.finish()
+	if err != nil {
+		return err
+	}
+	for _, sub := range runs {
+		if err := h.mergePartition(sub, depth+1, out); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// The spilled partial-state format. A generation (or a re-partitioned
+// run) is written as blocks of at most spill.DefaultFrameRows groups, one
+// spill frame each, every block a sequence of vector wire columns
+// (vector.AppendVector):
+//
+//	seq          int64: the group's global first-seen sequence number
+//	group values one column per GROUP BY expression, typed when the
+//	             block's values share a kind, boxed otherwise
+//	per aggregate, only the fields its function keeps:
+//	  COUNT      count int64
+//	  SUM        count int64, sumI int64, sumF float64, isFloat bool
+//	  AVG        count int64, sumF float64
+//	  MIN, MAX   extreme, typed or boxed like group values; NULL = unseen
+//
+// Floats travel as IEEE bits and integers as full int64s, so NaN payloads,
+// ±0 and integers past 2^53 round-trip exactly. The canonical group key is
+// not stored: readers re-derive it from the group values.
+
+// partialBlock is one decoded block of partial states: the same aggCol
+// layout as a group table, indexed by position in the block.
+type partialBlock struct {
+	n, nGroup int
+	seq       []int64
+	vals      []types.Value // nGroup per state
+	cols      []aggCol
+}
+
+func (b *partialBlock) groupRow(i int) []types.Value {
+	return b.vals[i*b.nGroup : (i+1)*b.nGroup]
+}
+
+// keyOf appends group j's canonical key to buf.
+func (t *aggTable) keyOf(j int, buf []byte) []byte { return append(buf, t.keys[j]...) }
+
+// appendPartials encodes states sel of (vals, cols) — nGroup group values
+// per state, first-seen sequences from seqOf — as one block. The scratch
+// slices are reused across blocks.
+func (e *partialEncoder) appendPartials(buf []byte, vals []types.Value, cols []aggCol, sel []int,
+	seqOf func(j int) int64) []byte {
+	e.ints = e.ints[:0]
+	for _, j := range sel {
+		e.ints = append(e.ints, seqOf(j))
+	}
+	buf = vector.AppendVector(buf, &vector.Int64Vector{Vals: e.ints})
+	if e.nGroup > 0 {
+		e.rows = e.rows[:0]
+		for _, j := range sel {
+			e.rows = append(e.rows, vals[j*e.nGroup:(j+1)*e.nGroup])
+		}
+		for _, v := range vector.FromRows(e.rows, e.nGroup).Vecs {
+			buf = vector.AppendVector(buf, v)
+		}
+	}
+	for a := range cols {
+		switch c := &cols[a]; c.fn {
+		case algebra.AggCount:
+			buf = e.appendInts(buf, c.count, sel)
+		case algebra.AggSum:
+			buf = e.appendInts(buf, c.count, sel)
+			buf = e.appendInts(buf, c.sumI, sel)
+			buf = e.appendFloats(buf, c.sumF, sel)
+			e.bools = e.bools[:0]
+			for _, j := range sel {
+				e.bools = append(e.bools, c.isFloat[j])
+			}
+			buf = vector.AppendVector(buf, &vector.BoolVector{Vals: e.bools})
+		case algebra.AggAvg:
+			buf = e.appendInts(buf, c.count, sel)
+			buf = e.appendFloats(buf, c.sumF, sel)
+		default:
+			e.rows = e.rows[:0]
+			for _, j := range sel {
+				e.rows = append(e.rows, c.ext[j:j+1])
+			}
+			buf = vector.AppendVector(buf, vector.FromRows(e.rows, 1).Vecs[0])
+		}
+	}
+	return buf
+}
+
+func (e *partialEncoder) appendInts(buf []byte, src []int64, sel []int) []byte {
+	e.ints = e.ints[:0]
+	for _, j := range sel {
+		e.ints = append(e.ints, src[j])
+	}
+	return vector.AppendVector(buf, &vector.Int64Vector{Vals: e.ints})
+}
+
+func (e *partialEncoder) appendFloats(buf []byte, src []float64, sel []int) []byte {
+	e.floats = e.floats[:0]
+	for _, j := range sel {
+		e.floats = append(e.floats, src[j])
+	}
+	return vector.AppendVector(buf, &vector.Float64Vector{Vals: e.floats})
+}
+
+// partialEncoder holds appendPartials' gather scratch. Value columns are
+// gathered as a row spine over the states' own storage, so FromRows infers
+// their vector type without copying a value.
+type partialEncoder struct {
+	nGroup int
+	ints   []int64
+	floats []float64
+	bools  []bool
+	rows   [][]types.Value
+}
+
+var errCorruptPartial = fmt.Errorf("physical: corrupt spilled aggregate state")
+
+// decodePartials decodes one block of n partial states written by
+// appendPartials. Any column of the wrong type, or bytes left over, is a
+// corrupt-state error.
+func decodePartials(b []byte, n, nGroup int, aggs []algebra.AggSpec) (*partialBlock, error) {
+	blk := &partialBlock{n: n, nGroup: nGroup, vals: make([]types.Value, n*nGroup), cols: newAggCols(aggs)}
+	b, err := decodeField(b, n, &blk.seq)
+	for g := 0; g < nGroup && err == nil; g++ {
+		var v vector.Vector
+		if v, b, err = vector.DecodeVector(b, n); err == nil {
+			for i := 0; i < n; i++ {
+				blk.vals[i*nGroup+g] = v.Value(i)
+			}
+		}
+	}
+	for a := range blk.cols {
+		c := &blk.cols[a]
+		switch c.fn {
+		case algebra.AggCount:
+			b, err = decodeFields(b, n, err, &c.count)
+		case algebra.AggSum:
+			b, err = decodeFields(b, n, err, &c.count, &c.sumI, &c.sumF, &c.isFloat)
+		case algebra.AggAvg:
+			b, err = decodeFields(b, n, err, &c.count, &c.sumF)
+		default:
+			var v vector.Vector
+			if err == nil {
+				v, b, err = vector.DecodeVector(b, n)
+			}
+			if err == nil {
+				c.ext = make([]types.Value, n)
+				for i := range c.ext {
+					c.ext[i] = v.Value(i)
+				}
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errCorruptPartial, err)
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errCorruptPartial, len(b))
+	}
+	return blk, nil
+}
+
+// decodeFields decodes one state column into each of dsts in turn, unless
+// err is already set.
+func decodeFields(b []byte, n int, err error, dsts ...any) ([]byte, error) {
+	for _, dst := range dsts {
+		if err != nil {
+			return nil, err
+		}
+		b, err = decodeField(b, n, dst)
+	}
+	return b, err
+}
+
+// decodeField decodes one typed state column into dst, a *[]int64,
+// *[]float64 or *[]bool; a column of another type is corrupt.
+func decodeField(b []byte, n int, dst any) ([]byte, error) {
+	v, rest, err := vector.DecodeVector(b, n)
+	if err != nil {
+		return nil, err
+	}
+	ok := false
+	switch d := dst.(type) {
+	case *[]int64:
+		var tv *vector.Int64Vector
+		if tv, ok = v.(*vector.Int64Vector); ok {
+			*d = tv.Vals
+		}
+	case *[]float64:
+		var tv *vector.Float64Vector
+		if tv, ok = v.(*vector.Float64Vector); ok {
+			*d = tv.Vals
+		}
+	case *[]bool:
+		var tv *vector.BoolVector
+		if tv, ok = v.(*vector.BoolVector); ok {
+			*d = tv.Vals
+		}
+	}
+	if !ok {
+		return nil, fmt.Errorf("state column decoded as %T", v)
+	}
+	return rest, nil
+}
+
+// partialRouter writes partial states to SpillPartitions hash partitions
+// of the aggregate's spill set, as typed blocks; salt re-salts the hash at
+// each recursion depth. The buffer blocks are encoded in is charged to the
+// governor until finish.
+type partialRouter struct {
+	h       *HashAggregate
+	salt    uint64
+	enc     partialEncoder
+	parts   [SpillPartitions]*spill.Writer
+	sel     [SpillPartitions][]int
+	buf     []byte
+	bufHeld int64
+	keyBuf  []byte
+}
+
+func newPartialRouter(h *HashAggregate, salt uint64) *partialRouter {
+	return &partialRouter{h: h, salt: salt, enc: partialEncoder{nGroup: len(h.GroupBy)}}
+}
+
+// route writes states lo..hi-1 of (vals, cols) to their partitions, in
+// state order within each partition; keyOf yields state j's canonical key.
+func (r *partialRouter) route(lo, hi int, keyOf func(j int, buf []byte) []byte, vals []types.Value,
+	cols []aggCol, seqOf func(j int) int64) error {
+	for p := range r.sel {
+		r.sel[p] = r.sel[p][:0]
+	}
+	for j := lo; j < hi; j++ {
+		r.keyBuf = keyOf(j, r.keyBuf[:0])
+		p := keyHashSalted(r.keyBuf, r.salt) % SpillPartitions
+		r.sel[p] = append(r.sel[p], j)
+	}
+	for p, sel := range r.sel {
+		for len(sel) > 0 {
+			if r.parts[p] == nil {
+				w, err := r.h.sp.newWriter()
+				if err != nil {
+					return err
+				}
+				r.parts[p] = w
+			}
+			m := min(len(sel), spill.DefaultFrameRows)
+			r.buf = r.enc.appendPartials(r.buf[:0], vals, cols, sel[:m], seqOf)
+			if grown := int64(cap(r.buf)) - r.bufHeld; grown > 0 {
+				r.h.Mem.Force(grown)
+				r.h.held += grown
+				r.bufHeld += grown
+			}
+			if err := r.parts[p].AppendFrame(m, r.buf); err != nil {
+				return err
+			}
+			sel = sel[m:]
+		}
+	}
+	return nil
+}
+
+// finish finishes every partition written to, in partition order, and
+// drops the encoding buffer.
+func (r *partialRouter) finish() ([]*spill.Run, error) {
+	r.buf = nil
+	r.h.Mem.Release(r.bufHeld)
+	r.h.held -= r.bufHeld
+	r.bufHeld = 0
+	var runs []*spill.Run
+	for _, w := range r.parts {
+		if w == nil {
+			continue
+		}
+		run, err := r.h.sp.finish(w)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
+	}
+	return runs, nil
+}
+
+// partialReader streams the decoded blocks of one partition run, charging
+// the governor for the resident block (its frame payload and decoded
+// columns) like a merge cursor's frame.
+type partialReader struct {
+	h    *HashAggregate
+	rd   *spill.Reader
+	held int64
+}
+
+// next returns the next block, or nil at the end of the run.
+func (r *partialReader) next() (*partialBlock, error) {
+	n, payload, err := r.rd.NextFrame()
+	r.release()
+	if err != nil || payload == nil {
+		return nil, err
+	}
+	blk, err := decodePartials(payload, n, len(r.h.GroupBy), r.h.Aggs)
+	if err != nil {
+		return nil, err
+	}
+	r.held = int64(len(payload)) + 8*int64(n) + valueMemBytes*int64(len(blk.vals)) + colsMemSize(blk.cols)
+	r.h.Mem.Force(r.held)
+	r.h.held += r.held
+	return blk, nil
+}
+
+func (r *partialReader) release() {
+	r.h.Mem.Release(r.held)
+	r.h.held -= r.held
+	r.held = 0
+}
+
+func (r *partialReader) close() {
+	r.rd.Close()
+	r.release()
 }
 
 // RowCountHint implements RowCountHinter: after Open the groups are

@@ -170,9 +170,6 @@ func TestVecKeyBuildersMatchRowBuilders(t *testing.T) {
 		if got, want := string(appendVecRowKey(nil, cols, i)), string(appendRowKey(nil, row)); got != want {
 			t.Errorf("row %d: vec row key %q != %q", i, got, want)
 		}
-		if got, want := string(appendVecColsKey(nil, cols, i, idx)), string(appendColsKey(nil, row, idx)); got != want {
-			t.Errorf("row %d: vec cols key %q != %q", i, got, want)
-		}
 		gotK, gotOK := appendVecJoinKey(nil, cols, i, idx)
 		wantK, wantOK := appendJoinKey(nil, row, idx)
 		if gotOK != wantOK || string(gotK) != string(wantK) {

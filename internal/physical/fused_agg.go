@@ -19,18 +19,14 @@ import (
 // boxed argument cell, and only one boxed representative row per distinct
 // group.
 //
-// Fusion remains an execution strategy, never a semantics change. The folder
-// reproduces aggState absorption rule for rule: NULL arguments are skipped,
-// COUNT counts every non-null argument (strings and booleans included —
-// those fall back to the boxed absorbValue arm), SUM/AVG keep the serial
-// per-group addition order (rows ascending within each aggregate, and
-// per-aggregate accumulators are independent, so float sums land on the
-// identical last ulp), and MIN/MAX replicate types.Value.Compare — integer
-// comparisons widen through float64 with ties keeping the incumbent, and
-// NaN never replaces nor is replaced, exactly as Compare orders it. Group
-// output order is the engine-wide first-seen order: the serial operator
-// folds one whole-table window; the parallel one merges per-morsel partials
-// in morsel sequence order via mergeSeqPartials, like ParallelHashAggregate.
+// Fusion remains an execution strategy, never a semantics change. The fold
+// is the unfused one — the same aggFolder group assignment and the same
+// aggTable.absorbCol arms every aggregate operator uses — so NULL, COUNT,
+// SUM/AVG addition order and MIN/MAX Compare semantics cannot drift between
+// the two. Group output order is the engine-wide first-seen order: the
+// serial operator folds one whole-table window; the parallel one merges
+// per-morsel partials in morsel sequence order via mergeSeqPartials, like
+// ParallelHashAggregate.
 // Under a memory governor fused aggregation declines and the governed
 // (spilling) HashAggregate runs instead, exactly like the fused probe.
 
@@ -100,42 +96,9 @@ func fusedAggFor(node *algebra.Aggregate, src Source) (*fusedAggChain, bool, err
 	}, true, nil
 }
 
-// fusedAggFolder folds column windows into group states without boxing: the
-// fused-aggregation core shared by the serial FusedAggregate (one whole-table
-// window) and each ParallelFusedAggregate worker (one window per morsel).
-// One folder belongs to one goroutine — its kernels are closures with private
-// scratch, so parallel workers each build their own.
-type fusedAggFolder struct {
-	predProgs  []*algebra.Compiled
-	groupProgs []*algebra.Compiled
-	argProgs   []*algebra.Compiled // nil entries are COUNT(*)
-	aggs       []algebra.AggSpec
-
-	sel, sel2 []int
-	keyVecs   []vector.Vector
-	keyBuf    []byte
-	slots     []*aggState // selected row → its group, in selection order
-}
-
-func newFusedAggFolder(preds, groupBy, args []algebra.Expr, aggs []algebra.AggSpec) *fusedAggFolder {
-	f := &fusedAggFolder{
-		predProgs:  algebra.CompileAll(preds),
-		groupProgs: algebra.CompileAll(groupBy),
-		argProgs:   make([]*algebra.Compiled, len(args)),
-		aggs:       aggs,
-		keyVecs:    make([]vector.Vector, len(groupBy)),
-	}
-	for i, e := range args {
-		if e != nil {
-			f.argProgs[i] = algebra.Compile(e)
-		}
-	}
-	return f
-}
-
 // selectWindow mirrors FusedPipeline.selectWindow over the folder's own
 // scratch: per-predicate unboxed selection, ascending intersection.
-func (f *fusedAggFolder) selectWindow(cols []vector.Vector, n int) []int {
+func (f *aggFolder) selectWindow(cols []vector.Vector, n int) []int {
 	sel, _ := f.predProgs[0].SelectTruthyVec(cols, n, f.sel[:0])
 	for _, prog := range f.predProgs[1:] {
 		if len(sel) == 0 {
@@ -159,14 +122,13 @@ func sliceVecs(cols []vector.Vector, lo, hi int) []vector.Vector {
 	return out
 }
 
-// foldWindow absorbs one column window into groups, calling add (in
-// first-seen order) for every group created along the way. The selection
-// logic is FusedPipeline's: range form when every predicate resolves to a
+// foldWindow absorbs one column window into t. The selection logic is
+// FusedPipeline's: range form when every predicate resolves to a
 // contiguous row range (ascending columns, binary search), otherwise
-// selection vectors with dense-run degeneration. Pass 1 assigns every
-// selected row its group (creating states first-seen); pass 2 accumulates
-// each aggregate column-at-a-time through the unboxed per-kind loops.
-func (f *fusedAggFolder) foldWindow(cols []vector.Vector, n int, groups map[string]*aggState, add func(key string, st *aggState)) {
+// selection vectors with dense-run degeneration. The selected rows are
+// then assigned their groups and every aggregate absorbed column-at-a-time,
+// exactly as fold does for a batch.
+func (f *aggFolder) foldWindow(cols []vector.Vector, n int, t *aggTable) {
 	if n == 0 {
 		return
 	}
@@ -210,117 +172,10 @@ func (f *fusedAggFolder) foldWindow(cols []vector.Vector, n int, groups map[stri
 	for g, prog := range f.groupProgs {
 		f.keyVecs[g], _ = prog.EvalVec(win, m)
 	}
-	if cap(f.slots) < count {
-		f.slots = make([]*aggState, count)
-	}
-	slots := f.slots[:count]
-	for i := 0; i < count; i++ {
-		pos := i
-		if sel != nil {
-			pos = sel[i]
-		}
-		buf := f.keyBuf[:0]
-		for _, kv := range f.keyVecs {
-			buf = kv.AppendElemKey(buf, pos)
-			buf = append(buf, '|')
-		}
-		f.keyBuf = buf
-		st, ok := groups[string(buf)]
-		if !ok {
-			groupRow := make([]types.Value, len(f.keyVecs))
-			for g, kv := range f.keyVecs {
-				groupRow[g] = kv.Value(pos)
-			}
-			st = newAggState(groupRow, len(f.aggs))
-			key := string(buf)
-			groups[key] = st
-			add(key, st)
-		}
-		slots[i] = st
-	}
-	for a, prog := range f.argProgs {
-		if prog == nil {
-			for _, st := range slots {
-				st.count[a]++ // COUNT(*) counts rows unconditionally
-			}
-			continue
-		}
-		av, _ := prog.EvalVec(win, m)
-		f.absorbCol(a, av, slots, sel)
-	}
-}
-
-// absorbCol folds one evaluated aggregate-argument column into the selected
-// rows' states. The typed arms are aggState.absorbValue unboxed: skip NULL,
-// count, sum (integer sums stay exact in int64, every numeric feeds the
-// float sum in row order), and min/max with Compare's exact semantics —
-// integers compare widened through float64 (ties keep the incumbent, which
-// is also what Compare's 0 does), floats compare IEEE so NaN neither
-// replaces nor is replaced. Strings, booleans, and mixed-kind columns take
-// the boxed arm, which is absorbValue itself.
-func (f *fusedAggFolder) absorbCol(a int, vec vector.Vector, slots []*aggState, sel []int) {
-	switch tv := vec.(type) {
-	case *vector.Int64Vector:
-		for i, st := range slots {
-			pos := i
-			if sel != nil {
-				pos = sel[i]
-			}
-			if tv.Null(pos) {
-				continue
-			}
-			x := tv.Vals[pos]
-			st.count[a]++
-			st.sumI[a] += x
-			st.sumF[a] += float64(x)
-			if !st.seen[a] {
-				v := types.NewInt(x)
-				st.min[a], st.max[a] = v, v
-				st.seen[a] = true
-				continue
-			}
-			if float64(x) < st.min[a].Float() {
-				st.min[a] = types.NewInt(x)
-			}
-			if float64(x) > st.max[a].Float() {
-				st.max[a] = types.NewInt(x)
-			}
-		}
-	case *vector.Float64Vector:
-		for i, st := range slots {
-			pos := i
-			if sel != nil {
-				pos = sel[i]
-			}
-			if tv.Null(pos) {
-				continue
-			}
-			x := tv.Vals[pos]
-			st.count[a]++
-			st.isFloat[a] = true
-			st.sumF[a] += x
-			if !st.seen[a] {
-				v := types.NewFloat(x)
-				st.min[a], st.max[a] = v, v
-				st.seen[a] = true
-				continue
-			}
-			if x < st.min[a].Float() {
-				st.min[a] = types.NewFloat(x)
-			}
-			if x > st.max[a].Float() {
-				st.max[a] = types.NewFloat(x)
-			}
-		}
-	default:
-		for i, st := range slots {
-			pos := i
-			if sel != nil {
-				pos = sel[i]
-			}
-			st.absorbValue(a, vec.Value(pos))
-		}
-	}
+	f.absorb(t, f.assign(t, count, sel), sel, func(_ int, prog *algebra.Compiled) vector.Vector {
+		v, _ := prog.EvalVec(win, m)
+		return v
+	})
 }
 
 // FusedAggregate is the serial fused aggregate: the whole chain — scan,
@@ -339,7 +194,7 @@ type FusedAggregate struct {
 	schema types.Schema
 	nGroup int
 
-	folder *fusedAggFolder
+	folder *aggFolder
 	out    [][]types.Value
 	pos    int
 	b      Batch
@@ -353,14 +208,11 @@ func (h *FusedAggregate) Schema() types.Schema { return h.schema }
 func (h *FusedAggregate) Open() error {
 	h.out, h.pos = nil, 0
 	if h.folder == nil {
-		h.folder = newFusedAggFolder(h.Preds, h.GroupBy, h.args, h.Aggs)
+		h.folder = newAggFolder(h.Preds, h.GroupBy, h.args)
 	}
-	groups := make(map[string]*aggState)
-	var states []*aggState // first-seen order
-	h.folder.foldWindow(h.full.Vecs, h.full.N, groups, func(_ string, st *aggState) {
-		states = append(states, st)
-	})
-	h.out = finishAggStates(states, h.nGroup == 0, h.Aggs, h.nGroup)
+	t := newAggTable(h.nGroup, h.Aggs)
+	h.folder.foldWindow(h.full.Vecs, h.full.N, t)
+	h.out = t.results(h.nGroup == 0)
 	return nil
 }
 
@@ -433,19 +285,15 @@ func (h *ParallelFusedAggregate) Open() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			folder := newFusedAggFolder(h.Preds, h.GroupBy, h.args, h.Aggs)
+			folder := newAggFolder(h.Preds, h.GroupBy, h.args)
 			for {
 				seq, lo, hi, ok := h.src.claim()
 				if !ok {
 					return
 				}
-				groups := make(map[string]*aggState)
-				var order []partialGroup
-				folder.foldWindow(h.src.cols.Slice(lo, hi), hi-lo, groups,
-					func(key string, st *aggState) {
-						order = append(order, partialGroup{key: key, st: st})
-					})
-				ch <- aggPacket{seq: seq, groups: order}
+				t := newAggTable(h.nGroup, h.Aggs)
+				folder.foldWindow(h.src.cols.Slice(lo, hi), hi-lo, t)
+				ch <- aggPacket{seq: seq, t: t}
 			}
 		}()
 	}
@@ -453,12 +301,11 @@ func (h *ParallelFusedAggregate) Open() error {
 		wg.Wait()
 		close(ch)
 	}()
-	bySeq := make(map[int][]partialGroup)
+	bySeq := make(map[int]*aggTable)
 	for p := range ch {
-		bySeq[p.seq] = p.groups
+		bySeq[p.seq] = p.t
 	}
-	states := mergeSeqPartials(bySeq, h.src.nMorsels())
-	h.out = finishAggStates(states, h.nGroup == 0, h.Aggs, h.nGroup)
+	h.out = mergeSeqPartials(bySeq, h.src.nMorsels(), h.nGroup, h.Aggs).results(h.nGroup == 0)
 	return nil
 }
 

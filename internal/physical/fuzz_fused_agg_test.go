@@ -142,7 +142,7 @@ func FuzzFusedAgg(f *testing.F) {
 		// The unfused reference runs the boxed engine — same rows, no columns
 		// — at the same DOP and morsel geometry as the fused run: parallel
 		// aggregation re-associates float sums across morsel partials (see
-		// aggState.merge), identically on the fused and unfused paths, so the
+		// aggTable.merge), identically on the fused and unfused paths, so the
 		// exact reference for each run is its unfused twin.
 		for _, opt := range []Options{
 			{DOP: 1},

@@ -7,20 +7,13 @@ import (
 	"repro/internal/types"
 )
 
-// partialGroup is one group's partial aggregate state for a single morsel,
-// tagged with its canonical key so the merge can find its global peer.
-// Groups travel in the morsel's first-seen order.
-type partialGroup struct {
-	key string
-	st  *aggState
-}
-
-// aggPacket carries one morsel's partial aggregation from a worker to the
-// merging Open. Like morselPacket, ownership transfers with the send.
+// aggPacket carries one morsel's partial aggregation — a group table in
+// the morsel's first-seen order — from a worker to the merging Open. Like
+// morselPacket, ownership transfers with the send.
 type aggPacket struct {
-	seq    int
-	groups []partialGroup
-	err    error
+	seq int
+	t   *aggTable
+	err error
 }
 
 // aggWorker is one worker of a ParallelHashAggregate: a morsel pipeline plus
@@ -39,7 +32,7 @@ type aggWorker struct {
 // group output in the serial engine's first-seen order: a group's position is
 // decided by the first morsel (in table order) that contains it. Integer
 // aggregates merge exactly; float SUM/AVG re-associate addition (see
-// aggState.merge). Next then streams the materialized rows exactly like the
+// aggTable.merge). Next then streams the materialized rows exactly like the
 // serial operator.
 type ParallelHashAggregate struct {
 	GroupBy    []algebra.Expr
@@ -80,14 +73,13 @@ func (w *aggWorker) loop(h *ParallelHashAggregate, out chan<- aggPacket) error {
 	if err := w.pipe.Open(); err != nil {
 		return err
 	}
-	folder := newAggFolder(h.GroupBy, h.Aggs)
+	folder := newAggFolder(nil, h.GroupBy, aggArgs(h.Aggs))
 	for {
 		seq, ok := w.scan.advance()
 		if !ok {
 			return nil
 		}
-		groups := make(map[string]*aggState)
-		var order []partialGroup
+		t := newAggTable(len(h.GroupBy), h.Aggs)
 		for {
 			b, err := w.pipe.Next()
 			if err != nil {
@@ -96,11 +88,9 @@ func (w *aggWorker) loop(h *ParallelHashAggregate, out chan<- aggPacket) error {
 			if b == nil {
 				break
 			}
-			folder.fold(b, groups, func(key string, st *aggState) {
-				order = append(order, partialGroup{key: key, st: st})
-			})
+			folder.fold(b, t)
 		}
-		out <- aggPacket{seq: seq, groups: order}
+		out <- aggPacket{seq: seq, t: t}
 	}
 }
 
@@ -123,7 +113,7 @@ func (h *ParallelHashAggregate) Open() error {
 		wg.Wait()
 		close(ch)
 	}()
-	bySeq := make(map[int][]partialGroup)
+	bySeq := make(map[int]*aggTable)
 	var firstErr error
 	for p := range ch {
 		if p.err != nil {
@@ -132,13 +122,13 @@ func (h *ParallelHashAggregate) Open() error {
 			}
 			continue
 		}
-		bySeq[p.seq] = p.groups
+		bySeq[p.seq] = p.t
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	states := mergeSeqPartials(bySeq, h.src.nMorsels())
-	h.out = finishAggStates(states, len(h.GroupBy) == 0, h.Aggs, len(h.GroupBy))
+	nGroup := len(h.GroupBy)
+	h.out = mergeSeqPartials(bySeq, h.src.nMorsels(), nGroup, h.Aggs).results(nGroup == 0)
 	return nil
 }
 
@@ -147,20 +137,14 @@ func (h *ParallelHashAggregate) Open() error {
 // input and restores the serial engine's global first-seen group order: a
 // group's position is decided by the first morsel (in table order) that
 // contains it. Shared by ParallelHashAggregate and ParallelFusedAggregate.
-func mergeSeqPartials(bySeq map[int][]partialGroup, nMorsels int) []*aggState {
-	global := make(map[string]*aggState)
-	var states []*aggState
+func mergeSeqPartials(bySeq map[int]*aggTable, nMorsels, nGroup int, aggs []algebra.AggSpec) *aggTable {
+	global := newAggTable(nGroup, aggs)
 	for seq := 0; seq < nMorsels; seq++ {
-		for _, pg := range bySeq[seq] {
-			if st, ok := global[pg.key]; ok {
-				st.merge(pg.st)
-				continue
-			}
-			global[pg.key] = pg.st
-			states = append(states, pg.st)
+		if t := bySeq[seq]; t != nil {
+			global.mergeTable(t)
 		}
 	}
-	return states
+	return global
 }
 
 // RowCountHint implements RowCountHinter: after Open the groups are

@@ -21,16 +21,25 @@ const SpillWriterOverheadBytes = spill.MaxFrameBufferBytes + spill.WriterBufferB
 // charges the governor for each writer open at a time (forced slack —
 // the buffers exist regardless), releasing at finish or cleanup.
 type spillSet struct {
-	dir     string
-	gov     *MemGovernor
-	live    int64 // writers created but not yet finished
-	writers []*spill.Writer
-	runs    []*spill.Run
-	readers []*spill.Reader
+	dir       string
+	gov       *MemGovernor
+	perWriter int64 // the charge per open writer
+	live      int64 // writers created but not yet finished
+	writers   []*spill.Writer
+	runs      []*spill.Run
+	readers   []*spill.Reader
 }
 
 func newSpillSet(dir string, gov *MemGovernor) *spillSet {
-	return &spillSet{dir: dir, gov: gov}
+	return &spillSet{dir: dir, gov: gov, perWriter: SpillWriterOverheadBytes}
+}
+
+// newFrameSpillSet is a spill set whose writers only ever take whole
+// frames (spill.Writer.AppendFrame): their row payload buffer stays empty,
+// so each open writer is charged its file buffer alone, and the operator
+// charges the one buffer it encodes frames in itself.
+func newFrameSpillSet(dir string, gov *MemGovernor) *spillSet {
+	return &spillSet{dir: dir, gov: gov, perWriter: spill.WriterBufferBytes}
 }
 
 // newWriter opens a tracked run writer in the set's directory.
@@ -40,7 +49,7 @@ func (s *spillSet) newWriter() (*spill.Writer, error) {
 		return nil, err
 	}
 	s.writers = append(s.writers, w)
-	s.gov.Force(SpillWriterOverheadBytes)
+	s.gov.Force(s.perWriter)
 	s.live++
 	return w, nil
 }
@@ -48,7 +57,7 @@ func (s *spillSet) newWriter() (*spill.Writer, error) {
 // finish finishes a tracked writer and tracks the resulting run. The
 // writer's buffer charge is released either way — Finish closes the file.
 func (s *spillSet) finish(w *spill.Writer) (*spill.Run, error) {
-	s.gov.Release(SpillWriterOverheadBytes)
+	s.gov.Release(s.perWriter)
 	s.live--
 	run, err := w.Finish()
 	if err != nil {
@@ -83,7 +92,7 @@ func (s *spillSet) cleanup() error {
 	for _, w := range s.writers {
 		w.Abort()
 	}
-	s.gov.Release(s.live * SpillWriterOverheadBytes)
+	s.gov.Release(s.live * s.perWriter)
 	s.live = 0
 	for _, run := range s.runs {
 		if err := run.Remove(); err != nil && first == nil {

@@ -8,7 +8,9 @@
 //	[4B little-endian payload length][4B CRC32-IEEE of payload][payload]
 //
 // and a payload is `uvarint rowCount` followed by rowCount rows, each
-// `uvarint arity` followed by arity values. Values are encoded exactly —
+// `uvarint arity` followed by arity values (a writer may instead fill the
+// payload after the count with records of its own layout through
+// AppendFrame, read back with Reader.NextFrame). Values are encoded exactly —
 // kind byte plus a kind-specific payload — so a round trip preserves kind,
 // NaN payload, ±0, and huge ints past 2^53 bit for bit. (The engine's
 // canonical grouping key, types.Value.AppendKey, deliberately collapses
@@ -223,31 +225,56 @@ func (w *Writer) AppendAll(rows [][]types.Value) error {
 	return nil
 }
 
-// flushFrame writes the buffered rows as one CRC-checked frame. The row
-// count is prepended without copying the payload: the CRC runs
-// incrementally over the count prefix and the payload, and the two parts
-// are written back to back.
+// AppendFrame writes one frame of n records whose payload the caller has
+// already encoded in a layout of its own (the aggregate's typed column
+// blocks, for one). Rows buffered by Append are flushed first, so frames
+// stay in call order. The payload is copied out; the caller may reuse it.
+func (w *Writer) AppendFrame(n int, payload []byte) error {
+	if w.err != nil {
+		return w.err
+	}
+	if n <= 0 || n > maxFrameRowCount {
+		return w.fail(fmt.Errorf("frame record count %d out of range", n))
+	}
+	if err := w.flushFrame(); err != nil {
+		return err
+	}
+	return w.writeFrame(n, payload)
+}
+
+// flushFrame writes the buffered rows as one frame.
 func (w *Writer) flushFrame() error {
 	if w.rows == 0 {
 		return nil
 	}
+	if err := w.writeFrame(w.rows, w.payload); err != nil {
+		return err
+	}
+	w.payload = w.payload[:0]
+	w.rows = 0
+	return nil
+}
+
+// writeFrame writes one CRC-checked frame of n records. The record count
+// is prepended without copying the payload: the CRC runs incrementally
+// over the count prefix and the payload, and the two parts are written
+// back to back.
+func (w *Writer) writeFrame(n int, payload []byte) error {
 	var cnt [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(cnt[:], uint64(w.rows))
-	crc := crc32.ChecksumIEEE(cnt[:n])
-	crc = crc32.Update(crc, crc32.IEEETable, w.payload)
-	binary.LittleEndian.PutUint32(w.header[0:4], uint32(n+len(w.payload)))
+	c := binary.PutUvarint(cnt[:], uint64(n))
+	crc := crc32.ChecksumIEEE(cnt[:c])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint32(w.header[0:4], uint32(c+len(payload)))
 	binary.LittleEndian.PutUint32(w.header[4:8], crc)
 	if _, err := w.out.Write(w.header[:]); err != nil {
 		return w.fail(err)
 	}
-	if _, err := w.out.Write(cnt[:n]); err != nil {
+	if _, err := w.out.Write(cnt[:c]); err != nil {
 		return w.fail(err)
 	}
-	if _, err := w.out.Write(w.payload); err != nil {
+	if _, err := w.out.Write(payload); err != nil {
 		return w.fail(err)
 	}
-	w.payload = w.payload[:0]
-	w.rows = 0
 	return nil
 }
 
@@ -336,33 +363,10 @@ type Reader struct {
 // clean end of file. A truncated header or payload, or a checksum mismatch,
 // is an error.
 func (r *Reader) Next() ([][]types.Value, error) {
-	_, err := io.ReadFull(r.br, r.header[:])
-	if err == io.EOF {
-		return nil, nil
+	count, frame, err := r.NextFrame()
+	if err != nil || frame == nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("spill: truncated frame header: %w", err)
-	}
-	size := binary.LittleEndian.Uint32(r.header[0:4])
-	want := binary.LittleEndian.Uint32(r.header[4:8])
-	if size == 0 || size > maxFrameBytes {
-		return nil, fmt.Errorf("spill: corrupt frame length %d", size)
-	}
-	if uint32(cap(r.buf)) < size {
-		r.buf = make([]byte, size)
-	}
-	frame := r.buf[:size]
-	if _, err := io.ReadFull(r.br, frame); err != nil {
-		return nil, fmt.Errorf("spill: truncated frame payload: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(frame); got != want {
-		return nil, fmt.Errorf("spill: frame checksum mismatch (got %08x, want %08x)", got, want)
-	}
-	count, sz := binary.Uvarint(frame)
-	if sz <= 0 || count == 0 || count > maxFrameRowCount {
-		return nil, fmt.Errorf("spill: corrupt frame row count")
-	}
-	frame = frame[sz:]
 	rows := make([][]types.Value, count)
 	for i := range rows {
 		if rows[i], frame, err = DecodeRow(frame); err != nil {
@@ -373,6 +377,40 @@ func (r *Reader) Next() ([][]types.Value, error) {
 		return nil, fmt.Errorf("spill: %d trailing bytes in frame", len(frame))
 	}
 	return rows, nil
+}
+
+// NextFrame returns the next frame's record count and its checked payload
+// after the count prefix, or (0, nil, nil) at a clean end of file. The
+// payload aliases the reader's buffer and is valid until the next call;
+// Next decodes it as rows, AppendFrame writers decode their own layout.
+func (r *Reader) NextFrame() (int, []byte, error) {
+	_, err := io.ReadFull(r.br, r.header[:])
+	if err == io.EOF {
+		return 0, nil, nil
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("spill: truncated frame header: %w", err)
+	}
+	size := binary.LittleEndian.Uint32(r.header[0:4])
+	want := binary.LittleEndian.Uint32(r.header[4:8])
+	if size == 0 || size > maxFrameBytes {
+		return 0, nil, fmt.Errorf("spill: corrupt frame length %d", size)
+	}
+	if uint32(cap(r.buf)) < size {
+		r.buf = make([]byte, size)
+	}
+	frame := r.buf[:size]
+	if _, err := io.ReadFull(r.br, frame); err != nil {
+		return 0, nil, fmt.Errorf("spill: truncated frame payload: %w", err)
+	}
+	if got := crc32.ChecksumIEEE(frame); got != want {
+		return 0, nil, fmt.Errorf("spill: frame checksum mismatch (got %08x, want %08x)", got, want)
+	}
+	count, sz := binary.Uvarint(frame)
+	if sz <= 0 || count == 0 || count > maxFrameRowCount {
+		return 0, nil, fmt.Errorf("spill: corrupt frame row count")
+	}
+	return int(count), frame[sz:], nil
 }
 
 // Close releases the reader; idempotent, because operators close readers
